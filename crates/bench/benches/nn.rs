@@ -1,13 +1,24 @@
 //! Neural-network benchmarks: ST-DDGN Q-network forward and
 //! forward+backward at fleet scale, with and without the graph pathway
-//! (quantifying the cost of neighbourhood attention).
+//! (quantifying the cost of neighbourhood attention), up to a K = 1000
+//! fleet, plus one stacked 16 x K150 batch forward. Attention runs over
+//! neighbour lists, so both the fleet and the stacked cases should scale
+//! linearly in rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpdp_nn::{Graph, ParamStore, Tensor};
+use dpdp_pool::ThreadPool;
 use dpdp_rl::{QNetwork, QNetworkConfig, StateSnapshot};
+use std::sync::Arc;
 
-fn snapshot(k: usize, ne: usize) -> StateSnapshot {
-    let features = Tensor::from_vec(k, 5, (0..k * 5).map(|i| (i as f64 * 0.17).sin()).collect());
+fn snapshot(k: usize, ne: usize, phase: f64) -> StateSnapshot {
+    let features = Tensor::from_vec(
+        k,
+        5,
+        (0..k * 5)
+            .map(|i| (i as f64 * 0.17 + phase).sin())
+            .collect(),
+    );
     let neighbors = (0..k)
         .map(|i| {
             let mut v = vec![i];
@@ -25,7 +36,7 @@ fn snapshot(k: usize, ne: usize) -> StateSnapshot {
 fn bench_qnet(c: &mut Criterion) {
     let mut group = c.benchmark_group("qnet");
     group.sample_size(20);
-    for &(k, graph) in &[(50usize, true), (50, false), (150, true)] {
+    for &(k, graph) in &[(50usize, true), (50, false), (150, true), (1000, true)] {
         let mut store = ParamStore::new(0);
         let net = QNetwork::new(
             &mut store,
@@ -36,7 +47,7 @@ fn bench_qnet(c: &mut Criterion) {
                 graph,
             },
         );
-        let snap = snapshot(k, 8);
+        let snap = snapshot(k, 8, 0.0);
         let label = format!("K{k}_graph{graph}");
         group.bench_with_input(BenchmarkId::new("forward", &label), &snap, |b, snap| {
             b.iter(|| std::hint::black_box(net.q_values(&store, snap)))
@@ -56,6 +67,17 @@ fn bench_qnet(c: &mut Criterion) {
             },
         );
     }
+    // One epoch's worth of orders scored in a single stacked forward, on
+    // a serial pool so the timing shows the work, not the machine width.
+    let mut store = ParamStore::new(0);
+    let net = QNetwork::new(&mut store, QNetworkConfig::default());
+    let snaps: Vec<StateSnapshot> = (0..16).map(|s| snapshot(150, 8, s as f64)).collect();
+    let pool = Arc::new(ThreadPool::new(1));
+    group.bench_with_input(
+        BenchmarkId::new("q_values_batch", "16xK150"),
+        &snaps,
+        |b, snaps| b.iter(|| std::hint::black_box(net.q_values_batch(&store, snaps, &pool))),
+    );
     group.finish();
 }
 

@@ -5,6 +5,7 @@
 //! walks the tape in reverse, accumulating gradients, and flushes the
 //! gradients of parameter-bound leaves into the [`ParamStore`].
 
+use crate::attention::{NeighbourIndex, Operands};
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 use dpdp_pool::ThreadPool;
@@ -16,16 +17,16 @@ pub struct Var(usize);
 
 /// Floating-point width of a graph's forward matmul kernels.
 ///
-/// Everything else on the tape (element-wise ops, softmax, reductions, the
-/// whole backward pass) always runs in `f64`; this knob only selects which
-/// matmul kernel [`Graph::matmul`] calls.
+/// Everything else on the tape (element-wise ops, softmax, neighbourhood
+/// attention, reductions, the whole backward pass) always runs in `f64`;
+/// this knob only selects which matmul kernel [`Graph::matmul`] calls.
 ///
 /// * [`Precision::F64`] (default) is the exact path every parity-gated
 ///   pipeline uses: training, serial/batch equivalence tests, episode
 ///   determinism.
 /// * [`Precision::F32`] demotes matmul inputs to `f32`, accumulates in
 ///   single precision and widens the product back to `f64`
-///   ([`Tensor::matmul_f32`]) — an opt-in inference speedup for chunked
+///   ([`Tensor::matmul_f32`]) — an opt-in inference speedup for wide
 ///   batch forwards. Results differ from the f64 path by O(2⁻²⁴) relative
 ///   error per accumulation step, so callers **must** gate it behind an
 ///   explicit tolerance (see the f32/f64 parity test in `dpdp-rl`) and
@@ -56,7 +57,14 @@ enum Op {
     Scale(Var, f64),
     Relu(Var),
     SoftmaxRows(Var),
-    MaskedSoftmaxRows(Var, Tensor),
+    NeighbourAttention {
+        q: Var,
+        k: Var,
+        v: Var,
+        heads: usize,
+        index: Arc<NeighbourIndex>,
+        weights: Vec<f64>,
+    },
     Transpose(Var),
     SliceCols(Var, usize, usize),
     ConcatCols(Vec<Var>),
@@ -109,10 +117,11 @@ impl Graph {
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
-        let (r, c) = value.shape();
+        // Gradients are allocated by the backward pass, so inference-only
+        // forwards never pay for them.
         self.nodes.push(Node {
             value,
-            grad: Tensor::zeros(r, c),
+            grad: Tensor::zeros(0, 0),
             op,
         });
         Var(self.nodes.len() - 1)
@@ -123,7 +132,9 @@ impl Graph {
         &self.nodes[v.0].value
     }
 
-    /// The gradient of a node (valid after [`Graph::backward`]).
+    /// The gradient of a node. Valid only after [`Graph::backward`] or
+    /// [`Graph::backward_graph_only`], which give every node a gradient of
+    /// its value's shape; before that it is an empty `0 x 0` tensor.
     pub fn grad(&self, v: Var) -> &Tensor {
         &self.nodes[v.0].grad
     }
@@ -253,40 +264,43 @@ impl Graph {
         self.push(value, Op::SoftmaxRows(a))
     }
 
-    /// Row-wise softmax restricted to entries where `mask` is non-zero;
-    /// masked entries get probability 0. A fully-masked row becomes all
-    /// zeros. `mask` must have the same shape as the input and is treated
-    /// as a constant (no gradient flows into it).
-    pub fn masked_softmax_rows(&mut self, a: Var, mask: &Tensor) -> Var {
-        let t = self.value(a);
-        let (m, n) = t.shape();
-        assert_eq!(mask.shape(), (m, n), "mask shape must match input");
-        let mut value = Tensor::zeros(m, n);
-        for r in 0..m {
-            let row = t.row(r);
-            let mrow = mask.row(r);
-            let max = row
-                .iter()
-                .zip(mrow)
-                .filter(|(_, &keep)| keep != 0.0)
-                .map(|(&x, _)| x)
-                .fold(f64::NEG_INFINITY, f64::max);
-            if max == f64::NEG_INFINITY {
-                continue; // fully masked row
-            }
-            let mut sum = 0.0;
-            let mut exps = vec![0.0; n];
-            for c in 0..n {
-                if mrow[c] != 0.0 {
-                    exps[c] = (row[c] - max).exp();
-                    sum += exps[c];
-                }
-            }
-            for (c, &e) in exps.iter().enumerate() {
-                *value.get_mut(r, c) = e / sum;
-            }
-        }
-        self.push(value, Op::MaskedSoftmaxRows(a, mask.clone()))
+    /// Multi-head scaled dot-product attention over neighbour lists:
+    /// query row `r` of `q` (`m x d`) attends only to the rows of `k` and
+    /// `v` (`n x d`) listed in `index.row(r)`. Columns split into `heads`
+    /// equal heads, each scaled by `1 / sqrt(d / heads)`; the `m x d`
+    /// result is the heads' outputs side by side. A row with no neighbours
+    /// yields zeros. Cost is `O(nnz · d)` for `index.nnz()` listed pairs.
+    ///
+    /// Bit-identical to dense attention under the equivalent 0/1 mask, and
+    /// at any pool width: the graph's pool splits query rows across
+    /// threads, and rows never interact. Always runs in `f64`, whatever
+    /// the graph's [`Precision`]; gradients flow into `q`, `k` and `v`.
+    ///
+    /// # Panics
+    /// Panics on mismatched shapes, if `heads` does not divide `d`, or if
+    /// `index` has not exactly `m` rows or names a row `>= n`.
+    pub fn neighbour_attention(
+        &mut self,
+        q: Var,
+        k: Var,
+        v: Var,
+        heads: usize,
+        index: &Arc<NeighbourIndex>,
+    ) -> Var {
+        let (value, weights) =
+            Operands::new(self.value(q), self.value(k), self.value(v), index, heads)
+                .forward(self.pool.as_deref());
+        self.push(
+            value,
+            Op::NeighbourAttention {
+                q,
+                k,
+                v,
+                heads,
+                index: Arc::clone(index),
+                weights,
+            },
+        )
     }
 
     /// Transpose.
@@ -409,184 +423,199 @@ impl Graph {
         *self.nodes[loss.0].grad.get_mut(0, 0) = 1.0;
 
         for i in (0..self.nodes.len()).rev() {
-            let grad = self.nodes[i].grad.clone();
-            if grad.data().iter().all(|&g| g == 0.0) {
-                continue;
+            // A node only feeds gradient into earlier nodes, so its own
+            // gradient and op can be moved out while it propagates.
+            let grad = std::mem::replace(&mut self.nodes[i].grad, Tensor::zeros(0, 0));
+            let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
+            if grad.data().iter().any(|&g| g != 0.0) {
+                self.propagate(i, &op, &grad);
             }
-            let op = self.nodes[i].op.clone();
-            match op {
-                Op::Leaf => {}
-                Op::MatMul(a, b) => {
-                    let da = grad.matmul(&self.nodes[b.0].value.transpose());
-                    let db = self.nodes[a.0].value.transpose().matmul(&grad);
-                    self.nodes[a.0].grad.add_assign(&da);
-                    self.nodes[b.0].grad.add_assign(&db);
+            self.nodes[i].grad = grad;
+            self.nodes[i].op = op;
+        }
+    }
+
+    /// Adds node `i`'s contribution, given its gradient, to the gradients
+    /// of its inputs.
+    fn propagate(&mut self, i: usize, op: &Op, grad: &Tensor) {
+        match op {
+            Op::Leaf => {}
+            Op::MatMul(a, b) => {
+                let da = grad.matmul(&self.nodes[b.0].value.transpose());
+                let db = self.nodes[a.0].value.transpose().matmul(grad);
+                self.nodes[a.0].grad.add_assign(&da);
+                self.nodes[b.0].grad.add_assign(&db);
+            }
+            Op::Add(a, b) => {
+                self.nodes[a.0].grad.add_assign(grad);
+                self.nodes[b.0].grad.add_assign(grad);
+            }
+            Op::Sub(a, b) => {
+                self.nodes[a.0].grad.add_assign(grad);
+                let neg = grad.map(|x| -x);
+                self.nodes[b.0].grad.add_assign(&neg);
+            }
+            Op::Mul(a, b) => {
+                let bv = self.nodes[b.0].value.clone();
+                let av = self.nodes[a.0].value.clone();
+                let da = Tensor::from_vec(
+                    grad.rows(),
+                    grad.cols(),
+                    grad.data()
+                        .iter()
+                        .zip(bv.data())
+                        .map(|(g, x)| g * x)
+                        .collect(),
+                );
+                let db = Tensor::from_vec(
+                    grad.rows(),
+                    grad.cols(),
+                    grad.data()
+                        .iter()
+                        .zip(av.data())
+                        .map(|(g, x)| g * x)
+                        .collect(),
+                );
+                self.nodes[a.0].grad.add_assign(&da);
+                self.nodes[b.0].grad.add_assign(&db);
+            }
+            Op::AddRow(a, b) => {
+                self.nodes[a.0].grad.add_assign(grad);
+                let (m, n) = grad.shape();
+                let mut db = Tensor::zeros(1, n);
+                for r in 0..m {
+                    for c in 0..n {
+                        *db.get_mut(0, c) += grad.get(r, c);
+                    }
                 }
-                Op::Add(a, b) => {
-                    self.nodes[a.0].grad.add_assign(&grad);
-                    self.nodes[b.0].grad.add_assign(&grad);
+                self.nodes[b.0].grad.add_assign(&db);
+            }
+            Op::Scale(a, s) => {
+                let da = grad.map(|x| x * s);
+                self.nodes[a.0].grad.add_assign(&da);
+            }
+            Op::Relu(a) => {
+                let av = &self.nodes[a.0].value;
+                let da = Tensor::from_vec(
+                    grad.rows(),
+                    grad.cols(),
+                    grad.data()
+                        .iter()
+                        .zip(av.data())
+                        .map(|(g, x)| if *x > 0.0 { *g } else { 0.0 })
+                        .collect(),
+                );
+                self.nodes[a.0].grad.add_assign(&da);
+            }
+            Op::SoftmaxRows(a) => {
+                let y = self.nodes[i].value.clone();
+                let (m, n) = y.shape();
+                let mut da = Tensor::zeros(m, n);
+                for r in 0..m {
+                    let dot: f64 = (0..n).map(|c| grad.get(r, c) * y.get(r, c)).sum();
+                    for c in 0..n {
+                        *da.get_mut(r, c) = y.get(r, c) * (grad.get(r, c) - dot);
+                    }
                 }
-                Op::Sub(a, b) => {
-                    self.nodes[a.0].grad.add_assign(&grad);
-                    let neg = grad.map(|x| -x);
-                    self.nodes[b.0].grad.add_assign(&neg);
+                self.nodes[a.0].grad.add_assign(&da);
+            }
+            Op::NeighbourAttention {
+                q,
+                k,
+                v,
+                heads,
+                index,
+                weights,
+            } => {
+                let (dq, dk, dv) = Operands::new(
+                    &self.nodes[q.0].value,
+                    &self.nodes[k.0].value,
+                    &self.nodes[v.0].value,
+                    index,
+                    *heads,
+                )
+                .backward(weights, grad);
+                self.nodes[q.0].grad.add_assign(&dq);
+                self.nodes[k.0].grad.add_assign(&dk);
+                self.nodes[v.0].grad.add_assign(&dv);
+            }
+            Op::Transpose(a) => {
+                let da = grad.transpose();
+                self.nodes[a.0].grad.add_assign(&da);
+            }
+            Op::SliceCols(a, start, len) => {
+                let (m, _) = grad.shape();
+                let an = self.nodes[a.0].value.cols();
+                let mut da = Tensor::zeros(m, an);
+                for r in 0..m {
+                    for c in 0..*len {
+                        *da.get_mut(r, start + c) = grad.get(r, c);
+                    }
                 }
-                Op::Mul(a, b) => {
-                    let bv = self.nodes[b.0].value.clone();
-                    let av = self.nodes[a.0].value.clone();
-                    let da = Tensor::from_vec(
-                        grad.rows(),
-                        grad.cols(),
-                        grad.data()
-                            .iter()
-                            .zip(bv.data())
-                            .map(|(g, x)| g * x)
-                            .collect(),
-                    );
-                    let db = Tensor::from_vec(
-                        grad.rows(),
-                        grad.cols(),
-                        grad.data()
-                            .iter()
-                            .zip(av.data())
-                            .map(|(g, x)| g * x)
-                            .collect(),
-                    );
-                    self.nodes[a.0].grad.add_assign(&da);
-                    self.nodes[b.0].grad.add_assign(&db);
-                }
-                Op::AddRow(a, b) => {
-                    self.nodes[a.0].grad.add_assign(&grad);
-                    let (m, n) = grad.shape();
-                    let mut db = Tensor::zeros(1, n);
+                self.nodes[a.0].grad.add_assign(&da);
+            }
+            Op::ConcatCols(parts) => {
+                let mut off = 0;
+                for p in parts {
+                    let (m, n) = self.nodes[p.0].value.shape();
+                    let mut dp = Tensor::zeros(m, n);
                     for r in 0..m {
                         for c in 0..n {
-                            *db.get_mut(0, c) += grad.get(r, c);
+                            *dp.get_mut(r, c) = grad.get(r, off + c);
                         }
                     }
-                    self.nodes[b.0].grad.add_assign(&db);
+                    self.nodes[p.0].grad.add_assign(&dp);
+                    off += n;
                 }
-                Op::Scale(a, s) => {
-                    let da = grad.map(|x| x * s);
-                    self.nodes[a.0].grad.add_assign(&da);
-                }
-                Op::Relu(a) => {
-                    let av = &self.nodes[a.0].value;
-                    let da = Tensor::from_vec(
-                        grad.rows(),
-                        grad.cols(),
-                        grad.data()
-                            .iter()
-                            .zip(av.data())
-                            .map(|(g, x)| if *x > 0.0 { *g } else { 0.0 })
-                            .collect(),
-                    );
-                    self.nodes[a.0].grad.add_assign(&da);
-                }
-                Op::SoftmaxRows(a) => {
-                    let y = self.nodes[i].value.clone();
-                    let (m, n) = y.shape();
-                    let mut da = Tensor::zeros(m, n);
+            }
+            Op::ConcatRows(parts) => {
+                let mut off = 0;
+                for p in parts {
+                    let (m, n) = self.nodes[p.0].value.shape();
+                    let mut dp = Tensor::zeros(m, n);
                     for r in 0..m {
-                        let dot: f64 = (0..n).map(|c| grad.get(r, c) * y.get(r, c)).sum();
                         for c in 0..n {
-                            *da.get_mut(r, c) = y.get(r, c) * (grad.get(r, c) - dot);
+                            *dp.get_mut(r, c) = grad.get(off + r, c);
                         }
                     }
-                    self.nodes[a.0].grad.add_assign(&da);
+                    self.nodes[p.0].grad.add_assign(&dp);
+                    off += m;
                 }
-                Op::MaskedSoftmaxRows(a, _mask) => {
-                    // Identical Jacobian to softmax: masked entries have
-                    // y = 0, which zeroes their rows/columns automatically.
-                    let y = self.nodes[i].value.clone();
-                    let (m, n) = y.shape();
-                    let mut da = Tensor::zeros(m, n);
-                    for r in 0..m {
-                        let dot: f64 = (0..n).map(|c| grad.get(r, c) * y.get(r, c)).sum();
-                        for c in 0..n {
-                            *da.get_mut(r, c) = y.get(r, c) * (grad.get(r, c) - dot);
-                        }
-                    }
-                    self.nodes[a.0].grad.add_assign(&da);
-                }
-                Op::Transpose(a) => {
-                    let da = grad.transpose();
-                    self.nodes[a.0].grad.add_assign(&da);
-                }
-                Op::SliceCols(a, start, len) => {
-                    let (m, _) = grad.shape();
-                    let an = self.nodes[a.0].value.cols();
-                    let mut da = Tensor::zeros(m, an);
-                    for r in 0..m {
-                        for c in 0..len {
-                            *da.get_mut(r, start + c) = grad.get(r, c);
-                        }
-                    }
-                    self.nodes[a.0].grad.add_assign(&da);
-                }
-                Op::ConcatCols(parts) => {
-                    let mut off = 0;
-                    for p in parts {
-                        let (m, n) = self.nodes[p.0].value.shape();
-                        let mut dp = Tensor::zeros(m, n);
-                        for r in 0..m {
-                            for c in 0..n {
-                                *dp.get_mut(r, c) = grad.get(r, off + c);
-                            }
-                        }
-                        self.nodes[p.0].grad.add_assign(&dp);
-                        off += n;
+            }
+            Op::Ln(a) => {
+                let av = self.nodes[a.0].value.clone();
+                let da = Tensor::from_vec(
+                    grad.rows(),
+                    grad.cols(),
+                    grad.data()
+                        .iter()
+                        .zip(av.data())
+                        .map(|(g, x)| g / x.max(1e-300))
+                        .collect(),
+                );
+                self.nodes[a.0].grad.add_assign(&da);
+            }
+            Op::GatherRows(a, indices) => {
+                let n = grad.cols();
+                let (ar, ac) = self.nodes[a.0].value.shape();
+                let mut da = Tensor::zeros(ar, ac);
+                for (i_out, &idx) in indices.iter().enumerate() {
+                    for c in 0..n {
+                        *da.get_mut(idx, c) += grad.get(i_out, c);
                     }
                 }
-                Op::ConcatRows(parts) => {
-                    let mut off = 0;
-                    for p in parts {
-                        let (m, n) = self.nodes[p.0].value.shape();
-                        let mut dp = Tensor::zeros(m, n);
-                        for r in 0..m {
-                            for c in 0..n {
-                                *dp.get_mut(r, c) = grad.get(off + r, c);
-                            }
-                        }
-                        self.nodes[p.0].grad.add_assign(&dp);
-                        off += m;
-                    }
-                }
-                Op::Ln(a) => {
-                    let av = self.nodes[a.0].value.clone();
-                    let da = Tensor::from_vec(
-                        grad.rows(),
-                        grad.cols(),
-                        grad.data()
-                            .iter()
-                            .zip(av.data())
-                            .map(|(g, x)| g / x.max(1e-300))
-                            .collect(),
-                    );
-                    self.nodes[a.0].grad.add_assign(&da);
-                }
-                Op::GatherRows(a, indices) => {
-                    let n = grad.cols();
-                    let (ar, ac) = self.nodes[a.0].value.shape();
-                    let mut da = Tensor::zeros(ar, ac);
-                    for (i_out, &idx) in indices.iter().enumerate() {
-                        for c in 0..n {
-                            *da.get_mut(idx, c) += grad.get(i_out, c);
-                        }
-                    }
-                    self.nodes[a.0].grad.add_assign(&da);
-                }
-                Op::MeanAll(a) => {
-                    let (m, n) = self.nodes[a.0].value.shape();
-                    let g = grad.item() / (m * n) as f64;
-                    let da = Tensor::full(m, n, g);
-                    self.nodes[a.0].grad.add_assign(&da);
-                }
-                Op::SumAll(a) => {
-                    let (m, n) = self.nodes[a.0].value.shape();
-                    let da = Tensor::full(m, n, grad.item());
-                    self.nodes[a.0].grad.add_assign(&da);
-                }
+                self.nodes[a.0].grad.add_assign(&da);
+            }
+            Op::MeanAll(a) => {
+                let (m, n) = self.nodes[a.0].value.shape();
+                let g = grad.item() / (m * n) as f64;
+                let da = Tensor::full(m, n, g);
+                self.nodes[a.0].grad.add_assign(&da);
+            }
+            Op::SumAll(a) => {
+                let (m, n) = self.nodes[a.0].value.shape();
+                let da = Tensor::full(m, n, grad.item());
+                self.nodes[a.0].grad.add_assign(&da);
             }
         }
     }
@@ -743,32 +772,33 @@ mod tests {
     }
 
     #[test]
-    fn masked_softmax_respects_mask_and_grads() {
-        let mask = Tensor::from_rows(&[&[1.0, 1.0, 0.0], &[0.0, 0.0, 0.0]]);
-        let mut g = Graph::new();
-        let x = g.constant(test_input());
-        let y = g.masked_softmax_rows(x, &mask);
-        let v = g.value(y);
-        // Masked entries are exactly zero; unmasked rows sum to one.
-        assert_eq!(v.get(0, 2), 0.0);
-        assert!((v.row(0).iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        // Fully masked row is all zeros.
-        assert_eq!(v.row(1), &[0.0, 0.0, 0.0]);
+    fn grad_neighbour_attention() {
+        // q, k and v packed side by side so one input drives all three.
+        let input = Tensor::from_vec(3, 12, (0..36).map(|i| ((i as f64) * 0.53).sin()).collect());
+        let mut index = NeighbourIndex::default();
+        index.push_row(&[0, 2]);
+        index.push_row(&[]);
+        index.push_row(&[0, 1, 2]);
+        let index = Arc::new(index);
+        let w = Tensor::from_vec(3, 4, (0..12).map(|i| ((i as f64) * 0.71).cos()).collect());
+        let build = |g: &mut Graph, x: &Tensor| {
+            let xv = g.constant(x.clone());
+            let q = g.slice_cols(xv, 0, 4);
+            let k = g.slice_cols(xv, 4, 4);
+            let v = g.slice_cols(xv, 8, 4);
+            let out = g.neighbour_attention(q, k, v, 2, &index);
+            let wv = g.constant(w.clone());
+            let prod = g.mul(out, wv);
+            g.sum_all(prod)
+        };
+        grad_check(build, &input, 1e-5);
 
-        // Gradient check against finite differences.
-        let w = Tensor::from_rows(&[&[0.3, -0.7, 1.1], &[0.9, 0.2, -0.5]]);
-        let mask2 = mask.clone();
-        grad_check(
-            |g, x| {
-                let xv = g.constant(x.clone());
-                let sm = g.masked_softmax_rows(xv, &mask2);
-                let wv = g.constant(w.clone());
-                let prod = g.mul(sm, wv);
-                g.sum_all(prod)
-            },
-            &test_input(),
-            1e-5,
-        );
+        // A row without neighbours attends to nothing.
+        let mut g = Graph::new();
+        let x = g.constant(input.clone());
+        let q = g.slice_cols(x, 0, 4);
+        let out = g.neighbour_attention(q, q, q, 2, &index);
+        assert_eq!(g.value(out).row(1), &[0.0; 4]);
     }
 
     #[test]

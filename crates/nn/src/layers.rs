@@ -1,7 +1,9 @@
 //! Layers: linear, MLP, and multi-head scaled dot-product attention.
 
+use crate::attention::NeighbourIndex;
 use crate::graph::{Graph, Var};
 use crate::params::{ParamId, ParamStore};
+use std::sync::Arc;
 
 /// A fully-connected layer `y = x W + b`.
 #[derive(Debug, Clone)]
@@ -150,17 +152,19 @@ impl MultiHeadAttention {
         self.out.forward(g, store, concat)
     }
 
-    /// Masked **self**-attention over a `K x d_model` batch: row `i` attends
-    /// only to rows `j` with `mask[i][j] != 0`. This is the batched form of
-    /// the paper's neighbourhood attention, where `mask` is the (self-
-    /// inclusive) adjacency matrix. Fully-masked rows produce zero attention
-    /// output (only the output layer's bias survives).
-    pub fn forward_masked(
+    /// Neighbourhood **self**-attention over a `K x d_model` batch: row
+    /// `i` attends only to the rows listed in `index.row(i)` (the paper's
+    /// neighbourhood attention, `index` holding each vehicle's self-
+    /// inclusive neighbour list). Runs in `O(index.nnz() · d_model)` per
+    /// level through [`Graph::neighbour_attention`]. A row with an empty
+    /// list gets zero attention output (only the output layer's bias
+    /// survives).
+    pub fn forward_neighbours(
         &self,
         g: &mut Graph,
         store: &ParamStore,
         x: Var,
-        mask: &crate::tensor::Tensor,
+        index: &Arc<NeighbourIndex>,
     ) -> Var {
         debug_assert_eq!(g.value(x).cols(), self.d_model, "input width");
         let wq = g.param(store, self.wq);
@@ -169,21 +173,8 @@ impl MultiHeadAttention {
         let q = g.matmul(x, wq);
         let k = g.matmul(x, wk);
         let v = g.matmul(x, wv);
-        let dk = self.d_model / self.heads;
-        let scale = 1.0 / (dk as f64).sqrt();
-        let mut head_outputs = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let qh = g.slice_cols(q, h * dk, dk);
-            let kh = g.slice_cols(k, h * dk, dk);
-            let vh = g.slice_cols(v, h * dk, dk);
-            let kt = g.transpose(kh);
-            let scores = g.matmul(qh, kt);
-            let scaled = g.scale(scores, scale);
-            let attn = g.masked_softmax_rows(scaled, mask);
-            head_outputs.push(g.matmul(attn, vh));
-        }
-        let concat = g.concat_cols(&head_outputs);
-        self.out.forward(g, store, concat)
+        let heads = g.neighbour_attention(q, k, v, self.heads, index);
+        self.out.forward(g, store, heads)
     }
 
     /// Representation width.

@@ -1,7 +1,7 @@
 //! A minimal neural-network substrate: dense tensors, a tape-based
 //! reverse-mode autodiff graph, the layers the paper's networks need
-//! (linear, MLP, multi-head scaled dot-product attention), and SGD/Adam
-//! optimizers.
+//! (linear, MLP, multi-head scaled dot-product attention, dense or over
+//! sparse neighbour lists), and SGD/Adam optimizers.
 //!
 //! The paper's models are small (per-vehicle 5-feature states, two stacked
 //! attention blocks over at most a few hundred vehicles), so a straight
@@ -31,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod attention;
 pub mod graph;
 pub mod init;
 pub mod layers;
@@ -39,6 +40,7 @@ pub mod params;
 pub mod serialize;
 pub mod tensor;
 
+pub use attention::NeighbourIndex;
 pub use graph::{Graph, Precision, Var};
 pub use layers::{Linear, Mlp, MultiHeadAttention};
 pub use optim::{Adam, Optimizer, Sgd};

@@ -9,25 +9,38 @@ use dpdp_routing::VehicleView;
 
 /// For each vehicle, the indices of its `ne` nearest vehicles (by Euclidean
 /// distance between anchor-node positions), **including itself first**.
-/// Every list has length `min(ne, K)`.
+/// Ties break by index. Every list has length and capacity `min(ne, K)`.
+///
+/// Each vehicle's distance row is computed once; a partial selection then
+/// finds the `ne` nearest and only those are sorted, so a row costs
+/// `O(K + ne log ne)` rather than a full sort of the fleet.
 pub fn nearest_neighbors(views: &[VehicleView], net: &RoadNetwork, ne: usize) -> Vec<Vec<usize>> {
     let k = views.len();
     let take = ne.min(k);
     let positions: Vec<_> = views.iter().map(|v| net.node(v.anchor_node).pos).collect();
+    let mut dist = vec![0.0; k];
+    let mut order: Vec<usize> = Vec::with_capacity(k);
     (0..k)
         .map(|i| {
-            let mut by_dist: Vec<usize> = (0..k).collect();
-            by_dist.sort_by(|&a, &b| {
-                // Self always sorts first (distance 0 and tie-break by index
-                // equality), then by distance, then by index for determinism.
-                let da = positions[i].distance(&positions[a]) + if a == i { -1.0 } else { 0.0 };
-                let db = positions[i].distance(&positions[b]) + if b == i { -1.0 } else { 0.0 };
-                da.partial_cmp(&db)
+            // Self always sorts first (distance 0, lowered by 1), then by
+            // distance, then by index for determinism.
+            for (d, (a, p)) in dist.iter_mut().zip(positions.iter().enumerate()) {
+                *d = positions[i].distance(p) + if a == i { -1.0 } else { 0.0 };
+            }
+            let by_key = |&a: &usize, &b: &usize| {
+                dist[a]
+                    .partial_cmp(&dist[b])
                     .expect("distances are finite")
                     .then(a.cmp(&b))
-            });
-            by_dist.truncate(take);
-            by_dist
+            };
+            order.clear();
+            order.extend(0..k);
+            if take > 0 && take < k {
+                order.select_nth_unstable_by(take - 1, by_key);
+            }
+            let nearest = &mut order[..take];
+            nearest.sort_unstable_by(by_key);
+            nearest.to_vec()
         })
         .collect()
 }
@@ -89,5 +102,45 @@ mod tests {
         let views = vec![view_at(0, 1), view_at(1, 1), view_at(2, 1)];
         let adj = nearest_neighbors(&views, &net, 3);
         assert_eq!(adj[1], vec![1, 0, 2]);
+    }
+
+    /// The selection agrees with a full sort of the fleet by
+    /// `(distance - [self], index)` on random positions with many
+    /// co-located vehicles, and every list is exactly as large as it needs
+    /// to be.
+    #[test]
+    fn selection_matches_full_sort_with_exact_capacity() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        // Few distinct sites, many vehicles: lots of exact distance ties.
+        let nodes: Vec<Node> = (0..6)
+            .map(|n| {
+                let pos = Point::new(rng.random_range(0.0..10.0), rng.random_range(0.0..10.0));
+                if n == 0 {
+                    Node::depot(NodeId(n), pos)
+                } else {
+                    Node::factory(NodeId(n), pos)
+                }
+            })
+            .collect();
+        let net = RoadNetwork::euclidean(nodes, 1.0).unwrap();
+        for k in [1usize, 2, 9, 40] {
+            let views: Vec<VehicleView> = (0..k)
+                .map(|v| view_at(v as u32, rng.random_range(0u32..6)))
+                .collect();
+            let pos: Vec<Point> = views.iter().map(|v| net.node(v.anchor_node).pos).collect();
+            for ne in [0usize, 1, 3, 8, 64] {
+                let adj = nearest_neighbors(&views, &net, ne);
+                assert_eq!(adj.len(), k);
+                for (i, list) in adj.iter().enumerate() {
+                    let key = |a: usize| pos[i].distance(&pos[a]) + if a == i { -1.0 } else { 0.0 };
+                    let mut full: Vec<usize> = (0..k).collect();
+                    full.sort_by(|&a, &b| key(a).partial_cmp(&key(b)).unwrap().then(a.cmp(&b)));
+                    full.truncate(ne.min(k));
+                    assert_eq!(list, &full, "k={k} ne={ne} vehicle {i}");
+                    assert_eq!(list.capacity(), list.len());
+                }
+            }
+        }
     }
 }

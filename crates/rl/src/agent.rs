@@ -209,7 +209,8 @@ impl DqnAgent {
     }
 
     /// Enables/disables learning and exploration. In evaluation mode the
-    /// agent acts greedily and does not update weights.
+    /// agent acts greedily, does not update weights and records no
+    /// transitions, so greedy episodes leave the replay buffer untouched.
     pub fn set_training(&mut self, training: bool) {
         self.training = training;
     }
@@ -300,8 +301,10 @@ impl DqnAgent {
             .incremental_length()
             .expect("chosen action is feasible");
         let r = instant_reward(&self.reward_params, ctx.views[action].used, delta);
-        self.close_last(Some((&snap, ctx.interval)));
-        self.last = Some((snap, action, r, ctx.interval));
+        if self.training {
+            self.close_last(Some((&snap, ctx.interval)));
+            self.last = Some((snap, action, r, ctx.interval));
+        }
         self.episode_instant_rewards.push(r);
         Some(action)
     }
@@ -579,6 +582,21 @@ mod tests {
         let b = sim.run(&mut agent);
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.assignments, b.assignments);
+    }
+
+    #[test]
+    fn eval_mode_records_no_transitions() {
+        let inst = tiny_instance(6);
+        let mut agent = DqnAgent::new(quick_config(ModelKind::Ddgn), 144, None);
+        let sim = Simulator::builder(&inst).build().unwrap();
+        sim.run(&mut agent);
+        let stored = agent.replay.len();
+        assert_eq!(stored, 6);
+        agent.set_training(false);
+        let result = sim.run(&mut agent);
+        assert_eq!(result.metrics.served, 6);
+        assert_eq!(agent.replay.len(), stored);
+        assert!(agent.pending.is_empty() && agent.last.is_none());
     }
 
     #[test]

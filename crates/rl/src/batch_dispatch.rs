@@ -56,7 +56,7 @@ pub(crate) trait BatchScoredPolicy {
     fn build_snapshot(&self, ctx: &DispatchContext<'_>) -> StateSnapshot;
 
     /// Scores every snapshot in a single network forward pass, optionally
-    /// spreading chunked forward work across `pool`. Must be bit-identical
+    /// spreading its rows across `pool`. Must be bit-identical
     /// to scoring each snapshot alone, for any pool width.
     fn score_batch(&self, snaps: &[StateSnapshot], pool: &Arc<ThreadPool>) -> Vec<Self::Scores>;
 

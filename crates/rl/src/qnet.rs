@@ -6,9 +6,16 @@
 //! dot-product attention; finally the initial and top-level representations
 //! are concatenated and mapped to a scalar Q-value. All vehicles share
 //! weights ("each vehicle owns its network but shares the same weights").
+//!
+//! Attention runs over each vehicle's own neighbour list (itself plus its
+//! feasible neighbours, [`dpdp_nn::Graph::neighbour_attention`]), never
+//! over the whole fleet, so attention over `K` vehicles costs
+//! `O(K · NE · d)` per level for width `d` (the row-wise projections add
+//! `O(K · d²)`): linear in the fleet, and linear in the rows of a stacked
+//! batch.
 
 use crate::state::{StateSnapshot, STATE_DIM};
-use dpdp_nn::{Graph, Mlp, MultiHeadAttention, ParamStore, Precision, Var};
+use dpdp_nn::{Graph, Mlp, MultiHeadAttention, NeighbourIndex, ParamStore, Precision, Tensor, Var};
 use dpdp_pool::ThreadPool;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -84,36 +91,31 @@ impl QNetwork {
     /// *constraint embedding*: they take no part in inference), and their
     /// output rows are meaningless — callers must mask them.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, snap: &StateSnapshot) -> Var {
-        let k = snap.num_vehicles();
         let x = g.constant(snap.features.clone());
+        self.forward_rows(g, store, x, std::slice::from_ref(snap))
+    }
+
+    /// The network body over `x`, the feature rows of `snaps` stacked in
+    /// order. Attention follows each snapshot's own neighbour lists, so
+    /// stacked snapshots never see each other.
+    fn forward_rows(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        x: Var,
+        snaps: &[StateSnapshot],
+    ) -> Var {
         let h0 = self.initial.forward(g, store, x);
-        let top = if self.config.graph {
-            // Self-inclusive adjacency mask restricted to feasible
-            // neighbours (the constraint embedding: infeasible vehicles
-            // take no part in anyone else's inference).
-            let mut mask = dpdp_nn::Tensor::zeros(k, k);
-            for v in 0..k {
-                *mask.get_mut(v, v) = 1.0;
-                for &n in &snap.neighbors[v] {
-                    if n != v && snap.feasible[n] {
-                        *mask.get_mut(v, n) = 1.0;
-                    }
-                }
-            }
-            let mut h = h0;
-            for attn in &self.attention {
-                let out = attn.forward_masked(g, store, h, &mask);
-                h = g.relu(out);
-            }
-            h
-        } else {
-            h0
-        };
-        let head_in = if self.config.graph {
-            g.concat_cols(&[h0, top])
-        } else {
-            top
-        };
+        if !self.config.graph {
+            return self.head.forward(g, store, h0);
+        }
+        let index = Arc::new(attention_index(snaps));
+        let mut h = h0;
+        for attn in &self.attention {
+            let out = attn.forward_neighbours(g, store, h, &index);
+            h = g.relu(out);
+        }
+        let head_in = g.concat_cols(&[h0, h]);
         self.head.forward(g, store, head_in)
     }
 
@@ -121,47 +123,22 @@ impl QNetwork {
     /// as a plain vector (infeasible entries set to `f64::NEG_INFINITY`, the
     /// paper's "extremely small negative").
     pub fn q_values(&self, store: &ParamStore, snap: &StateSnapshot) -> Vec<f64> {
-        self.q_values_prec(store, snap, Precision::F64)
-    }
-
-    fn q_values_prec(
-        &self,
-        store: &ParamStore,
-        snap: &StateSnapshot,
-        precision: Precision,
-    ) -> Vec<f64> {
-        let mut g = Graph::new().with_precision(precision);
+        let mut g = Graph::new();
         let q = self.forward(&mut g, store, snap);
-        let values = g.value(q);
-        (0..snap.num_vehicles())
-            .map(|i| {
-                if snap.feasible[i] {
-                    values.get(i, 0)
-                } else {
-                    f64::NEG_INFINITY
-                }
-            })
-            .collect()
+        masked_q(g.value(q), 0, snap)
     }
 
-    /// Evaluates many joint states in **one forward pass** by stacking
-    /// their feature matrices and running the attention levels under a
-    /// block-diagonal neighbourhood mask, so no information leaks between
-    /// states. Returns one Q-vector per snapshot, in order.
+    /// Evaluates many joint states in **one forward pass** over their
+    /// stacked feature rows and returns one Q-vector per snapshot, in
+    /// order. Each vehicle attends over its own snapshot's neighbour list,
+    /// so an attention level costs `O(sum K_i · NE · d)`: linear in the
+    /// stacked rows, however many snapshots a batch holds.
     ///
-    /// Every op involved (row-wise MLPs, masked softmax attention with
-    /// exactly-zero masked weights) treats the blocks independently, so the
-    /// results are bit-identical to calling [`QNetwork::q_values`] once per
-    /// snapshot — the batch/serial parity tests rely on this.
-    ///
-    /// With the graph pathway enabled the stacked attention is dense over
-    /// all `sum K_i` rows, which grows quadratically; to bound that, wide
-    /// batches are split into chunks of at most
-    /// [`QNetwork::MAX_ATTENTION_ROWS`] rows. Blocks never interact, so the
-    /// chunks are independent forwards — they are evaluated concurrently
-    /// across `pool` and written back in snapshot order, which cannot
-    /// change the results. A single chunk instead hands `pool` to the graph
-    /// itself for row-parallel matmuls ([`Graph::with_pool`]).
+    /// Every op involved (row-wise MLPs, neighbour-list attention) treats
+    /// rows independently of other snapshots, so the results are
+    /// bit-identical to calling [`QNetwork::q_values`] once per snapshot,
+    /// and `pool` (which splits the matmuls and attention by rows) changes
+    /// only the wall time — the batch/serial parity tests rely on this.
     pub fn q_values_batch(
         &self,
         store: &ParamStore,
@@ -180,12 +157,12 @@ impl QNetwork {
     /// path: per-element divergence is O(2⁻²⁴) relative per accumulation
     /// step (see the `f32_batch_tracks_f64_within_tolerance` test for the
     /// gate this repo holds it to). Within the f32 path itself, results
-    /// are bit-identical at any thread count — chunking, stacking and the
-    /// f32 row kernel are all scheduling-independent. Because greedy
-    /// action selection compares Q-values, callers accepting this path
-    /// accept that near-ties (within the tolerance band) may resolve
-    /// differently than under f64 — which is why every parity-gated
-    /// pipeline keeps the default f64 entry point.
+    /// are bit-identical at any thread count — stacking and the f32 row
+    /// kernel are both scheduling-independent. Because greedy action
+    /// selection compares Q-values, callers accepting this path accept
+    /// that near-ties (within the tolerance band) may resolve differently
+    /// than under f64 — which is why every parity-gated pipeline keeps the
+    /// default f64 entry point.
     pub fn q_values_batch_f32(
         &self,
         store: &ParamStore,
@@ -202,103 +179,18 @@ impl QNetwork {
         pool: &Arc<ThreadPool>,
         precision: Precision,
     ) -> Vec<Vec<f64>> {
-        if !self.config.graph {
-            // Row-wise MLPs only: stacking cost is linear, no need to chunk.
-            return self.q_values_stacked(store, snaps, pool, precision);
+        if snaps.is_empty() {
+            return Vec::new();
         }
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
-        let mut start = 0;
-        while start < snaps.len() {
-            let mut rows = snaps[start].num_vehicles();
-            let mut end = start + 1;
-            while end < snaps.len() && rows + snaps[end].num_vehicles() <= Self::MAX_ATTENTION_ROWS
-            {
-                rows += snaps[end].num_vehicles();
-                end += 1;
-            }
-            ranges.push((start, end));
-            start = end;
-        }
-        if ranges.len() <= 1 {
-            return self.q_values_stacked(store, snaps, pool, precision);
-        }
-        let chunks = pool.par_map(ranges.len(), |c| {
-            let (lo, hi) = ranges[c];
-            // Inner graphs keep the pool: nested par_map is supported (the
-            // joiner drains the shared queue) and stays bit-identical, so
-            // when there are fewer chunks than threads the spare width
-            // still helps with each chunk's matmuls.
-            self.q_values_stacked(store, &snaps[lo..hi], pool, precision)
-        });
-        chunks.into_iter().flatten().collect()
-    }
-
-    /// Upper bound on the stacked-attention width per forward pass (rows of
-    /// the block-diagonal mask).
-    pub const MAX_ATTENTION_ROWS: usize = 256;
-
-    fn q_values_stacked(
-        &self,
-        store: &ParamStore,
-        snaps: &[StateSnapshot],
-        pool: &Arc<ThreadPool>,
-        precision: Precision,
-    ) -> Vec<Vec<f64>> {
-        match snaps.len() {
-            0 => return Vec::new(),
-            1 => return vec![self.q_values_prec(store, &snaps[0], precision)],
-            _ => {}
-        }
-        let total: usize = snaps.iter().map(StateSnapshot::num_vehicles).sum();
         let (features, offsets) = crate::batch_dispatch::stack_features(snaps);
         let mut g = Graph::with_pool(Arc::clone(pool)).with_precision(precision);
         let x = g.constant(features);
-        let h0 = self.initial.forward(&mut g, store, x);
-        let top = if self.config.graph {
-            // Block-diagonal self-inclusive adjacency over feasible
-            // neighbours: block b holds snapshot b's mask, all cross-block
-            // entries stay zero.
-            let mut mask = dpdp_nn::Tensor::zeros(total, total);
-            for (snap, &base) in snaps.iter().zip(&offsets) {
-                for v in 0..snap.num_vehicles() {
-                    *mask.get_mut(base + v, base + v) = 1.0;
-                    for &n in &snap.neighbors[v] {
-                        if n != v && snap.feasible[n] {
-                            *mask.get_mut(base + v, base + n) = 1.0;
-                        }
-                    }
-                }
-            }
-            let mut h = h0;
-            for attn in &self.attention {
-                let out = attn.forward_masked(&mut g, store, h, &mask);
-                h = g.relu(out);
-            }
-            h
-        } else {
-            h0
-        };
-        let head_in = if self.config.graph {
-            g.concat_cols(&[h0, top])
-        } else {
-            top
-        };
-        let q = self.head.forward(&mut g, store, head_in);
+        let q = self.forward_rows(&mut g, store, x, snaps);
         let values = g.value(q);
         snaps
             .iter()
             .zip(&offsets)
-            .map(|(snap, &base)| {
-                (0..snap.num_vehicles())
-                    .map(|i| {
-                        if snap.feasible[i] {
-                            values.get(base + i, 0)
-                        } else {
-                            f64::NEG_INFINITY
-                        }
-                    })
-                    .collect()
-            })
+            .map(|(snap, &base)| masked_q(values, base, snap))
             .collect()
     }
 
@@ -315,10 +207,56 @@ impl QNetwork {
     }
 }
 
+/// The attention lists of stacked snapshots: vehicle `v` of a snapshot
+/// attends to itself and to its feasible neighbours (the constraint
+/// embedding: infeasible vehicles take no part in anyone else's
+/// inference), shifted to the snapshot's row offset.
+fn attention_index(snaps: &[StateSnapshot]) -> NeighbourIndex {
+    let rows: usize = snaps.iter().map(StateSnapshot::num_vehicles).sum();
+    let nnz: usize = snaps
+        .iter()
+        .flat_map(|s| &s.neighbors)
+        .map(|n| n.len() + 1)
+        .sum();
+    let mut index = NeighbourIndex::with_capacity(rows, nnz);
+    let mut row = Vec::new();
+    let mut base = 0;
+    for snap in snaps {
+        for (v, neighbors) in snap.neighbors.iter().enumerate() {
+            row.clear();
+            row.push(base + v);
+            row.extend(
+                neighbors
+                    .iter()
+                    .filter(|&&n| n != v && snap.feasible[n])
+                    .map(|&n| base + n),
+            );
+            row.sort_unstable();
+            row.dedup();
+            index.push_row(&row);
+        }
+        base += snap.num_vehicles();
+    }
+    index
+}
+
+/// Snapshot `snap`'s Q-values from rows `base..` of `values`, with
+/// infeasible vehicles set to `f64::NEG_INFINITY`.
+fn masked_q(values: &Tensor, base: usize, snap: &StateSnapshot) -> Vec<f64> {
+    (0..snap.num_vehicles())
+        .map(|i| {
+            if snap.feasible[i] {
+                values.get(base + i, 0)
+            } else {
+                f64::NEG_INFINITY
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpdp_nn::Tensor;
 
     fn snapshot(k: usize, feasible: Vec<bool>) -> StateSnapshot {
         let features = Tensor::from_vec(
@@ -413,6 +351,40 @@ mod tests {
                         "f32 path diverged at width {threads}"
                     );
                 }
+            }
+        }
+    }
+
+    /// A stacked batch wider than any single fleet is one forward whose
+    /// Q-values equal per-snapshot evaluation bit for bit, whatever the
+    /// pool width that splits its rows.
+    #[test]
+    fn wide_batch_matches_per_snapshot_q_values_at_any_width() {
+        let mut store = ParamStore::new(5);
+        let net = QNetwork::new(&mut store, QNetworkConfig::default());
+        let snaps: Vec<StateSnapshot> = (0..5)
+            .map(|s| {
+                let k = 50 + 7 * s;
+                let feasible = (0..k).map(|i| (i * 7 + s) % 5 != 0).collect();
+                let mut snap = snapshot(k, feasible);
+                snap.neighbors = (0..k)
+                    .map(|i| {
+                        let mut list = vec![i];
+                        list.extend((1..8).map(|j| (i * 31 + j * 17 + s) % k));
+                        list
+                    })
+                    .collect();
+                snap
+            })
+            .collect();
+        assert!(snaps.iter().map(StateSnapshot::num_vehicles).sum::<usize>() > 256);
+        let serial: Vec<Vec<f64>> = snaps.iter().map(|s| net.q_values(&store, s)).collect();
+        for threads in [1usize, 2, 4] {
+            let batch = net.q_values_batch(&store, &snaps, &Arc::new(ThreadPool::new(threads)));
+            assert_eq!(batch.len(), serial.len());
+            for (qb, qs) in batch.iter().zip(&serial) {
+                let bits = |q: &[f64]| q.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(qb), bits(qs), "batch diverged at width {threads}");
             }
         }
     }
