@@ -4,11 +4,17 @@
 //! fleet, plus one stacked 16 x K150 batch forward. Attention runs over
 //! neighbour lists, so both the fleet and the stacked cases should scale
 //! linearly in rows.
+//!
+//! Neighbour selection (`nearest_neighbors`) runs on the industry shape,
+//! 150 vehicles on 12 sites, and on its worst case, 1000 vehicles each on
+//! a position of its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dpdp_net::{Node, NodeId, Point, RoadNetwork, VehicleId};
 use dpdp_nn::{Graph, ParamStore, Tensor};
 use dpdp_pool::ThreadPool;
-use dpdp_rl::{QNetwork, QNetworkConfig, StateSnapshot};
+use dpdp_rl::{nearest_neighbors, QNetwork, QNetworkConfig, StateSnapshot};
+use dpdp_routing::VehicleView;
 use std::sync::Arc;
 
 fn snapshot(k: usize, ne: usize, phase: f64) -> StateSnapshot {
@@ -81,5 +87,44 @@ fn bench_qnet(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_qnet);
+/// `k` vehicles spread round-robin over `sites` nodes on a 20 km square.
+fn fleet(k: usize, sites: usize) -> (RoadNetwork, Vec<VehicleView>) {
+    let nodes = (0..sites)
+        .map(|n| {
+            let pos = Point::new(
+                10.0 + 10.0 * (n as f64 * 0.731).sin(),
+                10.0 + 10.0 * (n as f64 * 1.379).cos(),
+            );
+            let id = NodeId::from_index(n);
+            if n == 0 {
+                Node::depot(id, pos)
+            } else {
+                Node::factory(id, pos)
+            }
+        })
+        .collect();
+    let net = RoadNetwork::euclidean(nodes, 1.0).expect("valid network");
+    let views = (0..k)
+        .map(|v| {
+            let mut view = VehicleView::idle_at_depot(VehicleId::from_index(v), NodeId(0));
+            view.anchor_node = NodeId::from_index(v % sites);
+            view
+        })
+        .collect();
+    (net, views)
+}
+
+fn bench_neighbours(c: &mut Criterion) {
+    let mut group = c.benchmark_group("nearest_neighbors");
+    for &(k, sites, samples) in &[(150usize, 12usize, 500usize), (1000, 1000, 20)] {
+        group.sample_size(samples);
+        let (net, views) = fleet(k, sites);
+        group.bench_function(format!("K{k}_sites{sites}_ne8"), |b| {
+            b.iter(|| std::hint::black_box(nearest_neighbors(&views, &net, 8)))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_qnet, bench_neighbours);
 criterion_main!(benches);

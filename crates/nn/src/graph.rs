@@ -53,7 +53,7 @@ enum Op {
     Add(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
-    AddRow(Var, Var),
+    Linear(Var, Var, Var),
     Scale(Var, f64),
     Relu(Var),
     SoftmaxRows(Var),
@@ -188,51 +188,57 @@ impl Graph {
 
     /// Element-wise difference `a - b` of same-shape tensors.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        assert_eq!(self.value(a).shape(), self.value(b).shape(), "sub shape");
-        let bt = self.value(b).clone();
-        let value = Tensor::from_vec(
-            bt.rows(),
-            bt.cols(),
-            self.value(a)
-                .data()
-                .iter()
-                .zip(bt.data())
-                .map(|(x, y)| x - y)
-                .collect(),
-        );
+        let value = self.zip_with(a, b, "sub", |x, y| x - y);
         self.push(value, Op::Sub(a, b))
     }
 
     /// Hadamard (element-wise) product of same-shape tensors.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        assert_eq!(self.value(a).shape(), self.value(b).shape(), "mul shape");
-        let bt = self.value(b).clone();
-        let value = Tensor::from_vec(
-            bt.rows(),
-            bt.cols(),
-            self.value(a)
-                .data()
-                .iter()
-                .zip(bt.data())
-                .map(|(x, y)| x * y)
-                .collect(),
-        );
+        let value = self.zip_with(a, b, "mul", |x, y| x * y);
         self.push(value, Op::Mul(a, b))
     }
 
-    /// Adds a `1 x n` row vector to every row of an `m x n` matrix
-    /// (bias broadcast).
-    pub fn add_row(&mut self, a: Var, b: Var) -> Var {
-        let (m, n) = self.value(a).shape();
-        assert_eq!(self.value(b).shape(), (1, n), "add_row wants a 1x{n} bias");
-        let mut value = self.value(a).clone();
-        let bias = self.value(b).clone();
-        for r in 0..m {
-            for c in 0..n {
-                *value.get_mut(r, c) += bias.get(0, c);
+    /// `f` applied element-wise to two same-shape node values.
+    fn zip_with(&self, a: Var, b: Var, what: &str, f: impl Fn(f64, f64) -> f64) -> Tensor {
+        let (a, b) = (self.value(a), self.value(b));
+        assert_eq!(a.shape(), b.shape(), "{what} shape");
+        let data = a
+            .data()
+            .iter()
+            .zip(b.data())
+            .map(|(&x, &y)| f(x, y))
+            .collect();
+        Tensor::from_vec(a.rows(), a.cols(), data)
+    }
+
+    /// The affine map `x @ w + b`: a matrix product with the `1 x n` bias
+    /// `b` added to every row as each output block is written. Bit-identical
+    /// to the product followed by a row-wise `+ b`. Under
+    /// [`Precision::F32`] the product runs in `f32` and the bias is added
+    /// in `f64` to the widened result.
+    ///
+    /// # Panics
+    /// Panics on mismatched shapes.
+    pub fn linear(&mut self, x: Var, w: Var, b: Var) -> Var {
+        let (xt, wt, bt) = (self.value(x), self.value(w), self.value(b));
+        let value = match self.precision {
+            Precision::F64 => xt.linear(wt, bt, self.pool.as_deref()),
+            Precision::F32 => {
+                let n = wt.cols();
+                assert_eq!(bt.shape(), (1, n), "bias must be 1x{n}");
+                let mut value = match &self.pool {
+                    Some(pool) => xt.matmul_f32_pooled(wt, pool),
+                    None => xt.matmul_f32(wt),
+                };
+                for row in value.data_mut().chunks_exact_mut(n) {
+                    for (o, b) in row.iter_mut().zip(bt.data()) {
+                        *o += b;
+                    }
+                }
+                value
             }
-        }
-        self.push(value, Op::AddRow(a, b))
+        };
+        self.push(value, Op::Linear(x, w, b))
     }
 
     /// Scalar multiple `a * s`.
@@ -314,12 +320,11 @@ impl Graph {
         let t = self.value(a);
         let (m, n) = t.shape();
         assert!(start + len <= n, "slice_cols out of range");
-        let mut value = Tensor::zeros(m, len);
+        let mut data = Vec::with_capacity(m * len);
         for r in 0..m {
-            for c in 0..len {
-                *value.get_mut(r, c) = t.get(r, start + c);
-            }
+            data.extend_from_slice(&t.row(r)[start..start + len]);
         }
+        let value = Tensor::from_vec(m, len, data);
         self.push(value, Op::SliceCols(a, start, len))
     }
 
@@ -327,19 +332,18 @@ impl Graph {
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
         assert!(!parts.is_empty(), "concat_cols needs at least one part");
         let m = self.value(parts[0]).rows();
-        let total: usize = parts.iter().map(|&p| self.value(p).cols()).sum();
-        let mut value = Tensor::zeros(m, total);
-        let mut off = 0;
+        let mut total = 0;
         for &p in parts {
-            let t = self.value(p).clone();
-            assert_eq!(t.rows(), m, "concat_cols row mismatch");
-            for r in 0..m {
-                for c in 0..t.cols() {
-                    *value.get_mut(r, off + c) = t.get(r, c);
-                }
-            }
-            off += t.cols();
+            assert_eq!(self.value(p).rows(), m, "concat_cols row mismatch");
+            total += self.value(p).cols();
         }
+        let mut data = Vec::with_capacity(m * total);
+        for r in 0..m {
+            for &p in parts {
+                data.extend_from_slice(self.value(p).row(r));
+            }
+        }
+        let value = Tensor::from_vec(m, total, data);
         self.push(value, Op::ConcatCols(parts.to_vec()))
     }
 
@@ -348,18 +352,13 @@ impl Graph {
         assert!(!parts.is_empty(), "concat_rows needs at least one part");
         let n = self.value(parts[0]).cols();
         let total: usize = parts.iter().map(|&p| self.value(p).rows()).sum();
-        let mut value = Tensor::zeros(total, n);
-        let mut off = 0;
+        let mut data = Vec::with_capacity(total * n);
         for &p in parts {
-            let t = self.value(p).clone();
+            let t = self.value(p);
             assert_eq!(t.cols(), n, "concat_rows column mismatch");
-            for r in 0..t.rows() {
-                for c in 0..n {
-                    *value.get_mut(off + r, c) = t.get(r, c);
-                }
-            }
-            off += t.rows();
+            data.extend_from_slice(t.data());
         }
+        let value = Tensor::from_vec(total, n, data);
         self.push(value, Op::ConcatRows(parts.to_vec()))
     }
 
@@ -373,13 +372,12 @@ impl Graph {
     pub fn gather_rows(&mut self, a: Var, indices: &[usize]) -> Var {
         let t = self.value(a);
         let n = t.cols();
-        let mut value = Tensor::zeros(indices.len(), n);
-        for (i, &idx) in indices.iter().enumerate() {
+        let mut data = Vec::with_capacity(indices.len() * n);
+        for &idx in indices {
             assert!(idx < t.rows(), "gather_rows index out of range");
-            for c in 0..n {
-                *value.get_mut(i, c) = t.get(idx, c);
-            }
+            data.extend_from_slice(t.row(idx));
         }
+        let value = Tensor::from_vec(indices.len(), n, data);
         self.push(value, Op::GatherRows(a, indices.to_vec()))
     }
 
@@ -440,10 +438,15 @@ impl Graph {
     fn propagate(&mut self, i: usize, op: &Op, grad: &Tensor) {
         match op {
             Op::Leaf => {}
-            Op::MatMul(a, b) => {
-                let da = grad.matmul(&self.nodes[b.0].value.transpose());
-                let db = self.nodes[a.0].value.transpose().matmul(grad);
-                self.nodes[a.0].grad.add_assign(&da);
+            Op::MatMul(a, b) => self.propagate_matmul(*a, *b, grad),
+            Op::Linear(x, w, b) => {
+                self.propagate_matmul(*x, *w, grad);
+                let mut db = Tensor::zeros(1, grad.cols());
+                for r in 0..grad.rows() {
+                    for (d, g) in db.data_mut().iter_mut().zip(grad.row(r)) {
+                        *d += g;
+                    }
+                }
                 self.nodes[b.0].grad.add_assign(&db);
             }
             Op::Add(a, b) => {
@@ -477,17 +480,6 @@ impl Graph {
                         .collect(),
                 );
                 self.nodes[a.0].grad.add_assign(&da);
-                self.nodes[b.0].grad.add_assign(&db);
-            }
-            Op::AddRow(a, b) => {
-                self.nodes[a.0].grad.add_assign(grad);
-                let (m, n) = grad.shape();
-                let mut db = Tensor::zeros(1, n);
-                for r in 0..m {
-                    for c in 0..n {
-                        *db.get_mut(0, c) += grad.get(r, c);
-                    }
-                }
                 self.nodes[b.0].grad.add_assign(&db);
             }
             Op::Scale(a, s) => {
@@ -620,6 +612,14 @@ impl Graph {
         }
     }
 
+    /// The gradients of `a @ b` given the product's gradient.
+    fn propagate_matmul(&mut self, a: Var, b: Var, grad: &Tensor) {
+        let da = grad.matmul(&self.nodes[b.0].value.transpose());
+        let db = self.nodes[a.0].value.transpose().matmul(grad);
+        self.nodes[a.0].grad.add_assign(&da);
+        self.nodes[b.0].grad.add_assign(&db);
+    }
+
     /// Full backward pass: accumulates node gradients and flushes the
     /// gradients of parameter leaves into `store`.
     pub fn backward(&mut self, loss: Var, store: &mut ParamStore) {
@@ -702,27 +702,79 @@ mod tests {
     }
 
     #[test]
-    fn grad_add_row_broadcast() {
+    fn grad_linear() {
+        let w = Tensor::from_rows(&[&[0.2, -0.4], &[1.0, 0.6], &[-0.3, 0.9]]);
         grad_check(
             |g, x| {
                 let xv = g.constant(x.clone());
-                let b = g.constant(Tensor::from_rows(&[&[0.1, -0.2, 0.3]]));
-                let y = g.add_row(xv, b);
+                let wv = g.constant(w.clone());
+                let b = g.constant(Tensor::from_rows(&[&[0.1, -0.2]]));
+                let y = g.linear(xv, wv, b);
                 let sq = g.mul(y, y);
                 g.sum_all(sq)
             },
             &test_input(),
             1e-6,
         );
-        // Also check the bias gradient itself.
+        // The weight and bias gradients themselves: d(sum)/dW = xᵀ·1 and
+        // d(sum)/db_c = number of rows = 2.
         let mut g = Graph::new();
         let x = g.constant(test_input());
-        let b = g.constant(Tensor::from_rows(&[&[0.1, -0.2, 0.3]]));
-        let y = g.add_row(x, b);
+        let wv = g.constant(w.clone());
+        let b = g.constant(Tensor::from_rows(&[&[0.1, -0.2]]));
+        let y = g.linear(x, wv, b);
         let loss = g.sum_all(y);
         g.backward_graph_only(loss);
-        // d(sum)/db_c = number of rows = 2.
-        assert_eq!(g.grad(b).data(), &[2.0, 2.0, 2.0]);
+        assert_eq!(g.grad(b).data(), &[2.0, 2.0]);
+        let ones = Tensor::full(2, 2, 1.0);
+        assert_eq!(g.grad(wv), &test_input().transpose().matmul(&ones));
+    }
+
+    #[test]
+    fn linear_forward_is_matmul_then_row_bias() {
+        let x = Tensor::from_vec(
+            48,
+            11,
+            (0..48 * 11)
+                .map(|i| {
+                    if i % 5 == 0 {
+                        0.0
+                    } else {
+                        ((i as f64) * 0.37).sin()
+                    }
+                })
+                .collect(),
+        );
+        let w = Tensor::from_vec(
+            11,
+            33,
+            (0..11 * 33).map(|i| ((i as f64) * 0.23).cos()).collect(),
+        );
+        let b = Tensor::from_vec(
+            1,
+            33,
+            (0..33).map(|i| ((i as f64) * 0.71).sin() * 4.0).collect(),
+        );
+        let mut expect = x.matmul(&w);
+        for row in expect.data_mut().chunks_exact_mut(33) {
+            for (o, b) in row.iter_mut().zip(b.data()) {
+                *o += b;
+            }
+        }
+        let graphs = [
+            Graph::new(),
+            Graph::with_pool(Arc::new(ThreadPool::new(2))),
+            Graph::with_pool(Arc::new(ThreadPool::new(4))),
+        ];
+        for mut g in graphs {
+            let (xv, wv, bv) = (
+                g.constant(x.clone()),
+                g.constant(w.clone()),
+                g.constant(b.clone()),
+            );
+            let y = g.linear(xv, wv, bv);
+            assert!(g.value(y).data() == expect.data());
+        }
     }
 
     #[test]

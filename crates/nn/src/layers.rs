@@ -30,8 +30,7 @@ impl Linear {
         debug_assert_eq!(g.value(x).cols(), self.in_dim, "Linear input width");
         let w = g.param(store, self.w);
         let b = g.param(store, self.b);
-        let xw = g.matmul(x, w);
-        g.add_row(xw, b)
+        g.linear(x, w, b)
     }
 
     /// Input width.

@@ -132,32 +132,54 @@ impl Tensor {
     }
 
     /// The matmul kernel for output rows `[r0, r1)`, written into `block`
-    /// (a zeroed `(r1 - r0) x other.cols` slice). The **single** source of
-    /// the accumulation order: both [`Tensor::matmul`] and
-    /// [`Tensor::matmul_pooled`] delegate here, so the serial and
-    /// chunk-parallel products cannot drift apart bitwise.
-    fn matmul_rows(&self, other: &Tensor, r0: usize, r1: usize, block: &mut [f64]) {
+    /// (a `(r1 - r0) x other.cols` slice), with `bias` (one value per
+    /// output column) added to every row when given. The **single** source
+    /// of the accumulation order: [`Tensor::matmul`],
+    /// [`Tensor::matmul_pooled`] and [`Tensor::linear`] all delegate here,
+    /// so the serial and chunk-parallel products cannot drift apart
+    /// bitwise.
+    ///
+    /// Each output row is accumulated in column blocks of 16, then 4, then
+    /// 1 held in a local array, over ascending `k` and skipping zero
+    /// left-hand entries, so every element sums exactly as a plain triple
+    /// loop would; each block is written once, as `acc + bias` when there
+    /// is a bias.
+    fn matmul_rows(
+        &self,
+        other: &Tensor,
+        bias: Option<&[f64]>,
+        r0: usize,
+        r1: usize,
+        block: &mut [f64],
+    ) {
         let n = other.cols;
-        for i in r0..r1 {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let row_b = &other.data[k * n..(k + 1) * n];
-                let row_o = &mut block[(i - r0) * n..(i - r0 + 1) * n];
-                for (o, b) in row_o.iter_mut().zip(row_b) {
-                    *o += a * b;
-                }
+        if n == 0 {
+            return;
+        }
+        for (i, row_o) in (r0..r1).zip(block.chunks_exact_mut(n)) {
+            let row_a = &self.data[i * self.cols..(i + 1) * self.cols];
+            let mut c0 = 0;
+            while c0 + 16 <= n {
+                column_block::<16>(row_a, &other.data, n, c0, bias, row_o);
+                c0 += 16;
+            }
+            while c0 + 4 <= n {
+                column_block::<4>(row_a, &other.data, n, c0, bias, row_o);
+                c0 += 4;
+            }
+            while c0 < n {
+                column_block::<1>(row_a, &other.data, n, c0, bias, row_o);
+                c0 += 1;
             }
         }
     }
 
-    /// Matrix product `self @ other`.
-    ///
-    /// # Panics
-    /// Panics if inner dimensions disagree.
-    pub fn matmul(&self, other: &Tensor) -> Tensor {
+    /// The product `self @ other (+ bias)`, serial or chunked across
+    /// `pool`'s threads. Chunks run the very same row kernel, so the
+    /// result is **bit-identical for any thread count**; a width-1 pool or
+    /// a small left-hand side runs serially.
+    fn product(&self, other: &Tensor, bias: Option<&Tensor>, pool: Option<&ThreadPool>) -> Tensor {
+        const MIN_PARALLEL_ROWS: usize = 16;
         assert_eq!(
             self.cols,
             other.rows,
@@ -165,9 +187,36 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        let mut out = Tensor::zeros(self.rows, other.cols);
-        self.matmul_rows(other, 0, self.rows, &mut out.data);
+        let n = other.cols;
+        let bias = bias.map(|b| {
+            assert_eq!(b.shape(), (1, n), "bias must be 1x{n}");
+            b.data()
+        });
+        let mut out = Tensor::zeros(self.rows, n);
+        match pool {
+            Some(pool) if pool.is_parallel() && self.rows >= MIN_PARALLEL_ROWS && n > 0 => {
+                let chunk = self.rows.div_ceil((pool.threads() * 4).min(self.rows));
+                // Each task writes its disjoint row range of the output in
+                // place — no per-chunk buffers or final copy.
+                pool.scope(|s| {
+                    for (ci, block) in out.data.chunks_mut(chunk * n).enumerate() {
+                        let r0 = ci * chunk;
+                        let r1 = (r0 + chunk).min(self.rows);
+                        s.spawn(move || self.matmul_rows(other, bias, r0, r1, block));
+                    }
+                });
+            }
+            _ => self.matmul_rows(other, bias, 0, self.rows, &mut out.data),
+        }
         out
+    }
+
+    /// Matrix product `self @ other`.
+    ///
+    /// # Panics
+    /// Panics if inner dimensions disagree.
+    pub fn matmul(&self, other: &Tensor) -> Tensor {
+        self.product(other, None, None)
     }
 
     /// Matrix product `self @ other`, evaluated across `pool`'s threads in
@@ -180,30 +229,18 @@ impl Tensor {
     /// # Panics
     /// Panics if inner dimensions disagree.
     pub fn matmul_pooled(&self, other: &Tensor, pool: &ThreadPool) -> Tensor {
-        const MIN_PARALLEL_ROWS: usize = 16;
-        if !pool.is_parallel() || self.rows < MIN_PARALLEL_ROWS {
-            return self.matmul(other);
-        }
-        assert_eq!(
-            self.cols,
-            other.rows,
-            "matmul shape mismatch: {:?} @ {:?}",
-            self.shape(),
-            other.shape()
-        );
-        let n = other.cols;
-        let chunk = self.rows.div_ceil((pool.threads() * 4).min(self.rows));
-        let mut out = Tensor::zeros(self.rows, n);
-        // Each task writes its disjoint row range of the output in place —
-        // no per-chunk buffers or final copy.
-        pool.scope(|s| {
-            for (ci, block) in out.data.chunks_mut(chunk * n).enumerate() {
-                let r0 = ci * chunk;
-                let r1 = (r0 + chunk).min(self.rows);
-                s.spawn(move || self.matmul_rows(other, r0, r1, block));
-            }
-        });
-        out
+        self.product(other, None, Some(pool))
+    }
+
+    /// The affine map `self @ w + b`, with the `1 x n` bias `b` added to
+    /// every row as the product is written. Bit-identical to
+    /// [`Tensor::matmul`] followed by a row-wise `+ b`, at any pool width
+    /// (`pool` chunks rows exactly as [`Tensor::matmul_pooled`] does).
+    ///
+    /// # Panics
+    /// Panics if inner dimensions disagree or `b` is not `1 x w.cols()`.
+    pub fn linear(&self, w: &Tensor, b: &Tensor, pool: Option<&ThreadPool>) -> Tensor {
+        self.product(w, Some(b), pool)
     }
 
     /// Row-major copy of the data demoted to `f32`.
@@ -334,12 +371,53 @@ impl Tensor {
     }
 }
 
+/// Columns `[c0, c0 + W)` of one output row of `a @ b`: accumulates them
+/// in registers over ascending `k`, skipping zero entries of `row_a`, and
+/// writes them to `row_o` once, plus `bias` when given.
+#[inline(always)]
+fn column_block<const W: usize>(
+    row_a: &[f64],
+    b: &[f64],
+    n: usize,
+    c0: usize,
+    bias: Option<&[f64]>,
+    row_o: &mut [f64],
+) {
+    let mut acc = [0.0; W];
+    for (k, &a) in row_a.iter().enumerate() {
+        if a == 0.0 {
+            continue;
+        }
+        let row_b = &b[k * n + c0..k * n + c0 + W];
+        for w in 0..W {
+            acc[w] += a * row_b[w];
+        }
+    }
+    let out = &mut row_o[c0..c0 + W];
+    match bias {
+        Some(bias) => {
+            for ((o, a), b) in out.iter_mut().zip(&acc).zip(&bias[c0..c0 + W]) {
+                *o = a + b;
+            }
+        }
+        None => out.copy_from_slice(&acc),
+    }
+}
+
 /// The f32 matmul kernel for output rows `[r0, r1)` of `a @ b`, written
 /// into `block`. The **single** source of the f32 accumulation order:
 /// [`Tensor::matmul_f32`] and [`Tensor::matmul_f32_pooled`] both delegate
 /// here, mirroring how the f64 pair shares `matmul_rows` — so the serial
 /// and chunk-parallel f32 products cannot drift apart bitwise.
-fn matmul_rows_f32(a: &[f32], a_cols: usize, b: &[f32], n: usize, r0: usize, r1: usize, block: &mut [f32]) {
+fn matmul_rows_f32(
+    a: &[f32],
+    a_cols: usize,
+    b: &[f32],
+    n: usize,
+    r0: usize,
+    r1: usize,
+    block: &mut [f32],
+) {
     for i in r0..r1 {
         for k in 0..a_cols {
             let av = a[i * a_cols + k];
@@ -434,6 +512,66 @@ mod tests {
                 serial.data() == pooled.data(),
                 "pooled matmul diverged at width {threads}"
             );
+        }
+    }
+
+    /// The textbook product: each element summed over ascending `k` from
+    /// `0.0`. Zero left-hand entries add `±0.0` to a finite sum, which
+    /// never changes it, so the kernel's zero skip is invisible here.
+    fn naive_matmul(a: &Tensor, b: &Tensor) -> Vec<f64> {
+        let mut out = Vec::with_capacity(a.rows() * b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut acc = 0.0;
+                for k in 0..a.cols() {
+                    acc += a.get(i, k) * b.get(k, j);
+                }
+                out.push(acc);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn blocked_kernel_is_bit_identical_to_naive_triple_loop() {
+        let pools: Vec<_> = [1, 2, 4].map(dpdp_pool::ThreadPool::new).into();
+        for n in [1usize, 3, 4, 5, 15, 16, 17, 32, 33, 96] {
+            for (m, inner) in [(1usize, 7usize), (20, 13), (37, 32)] {
+                // Every third left-hand entry is zero; about half of the
+                // rest are negative.
+                let a = Tensor::from_vec(
+                    m,
+                    inner,
+                    (0..m * inner)
+                        .map(|i| {
+                            if i % 3 == 0 {
+                                0.0
+                            } else {
+                                ((i as f64) * 0.61).sin() / 3.0
+                            }
+                        })
+                        .collect(),
+                );
+                let b = Tensor::from_vec(
+                    inner,
+                    n,
+                    (0..inner * n)
+                        .map(|i| ((i as f64) * 0.43).cos() * 1.7)
+                        .collect(),
+                );
+                let expect = naive_matmul(&a, &b);
+                assert!(
+                    a.matmul(&b).data() == expect.as_slice(),
+                    "serial n={n} m={m}"
+                );
+                for pool in &pools {
+                    assert!(
+                        a.matmul_pooled(&b, pool).data() == expect.as_slice(),
+                        "pooled n={n} m={m} width {}",
+                        pool.threads()
+                    );
+                }
+            }
         }
     }
 
